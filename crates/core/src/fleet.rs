@@ -11,16 +11,20 @@
 //! the fleet's [`crate::parallel::WorkerPool`] executors:
 //!
 //! ```text
-//! ingest(p, chunk) ──► inbox p      (raw samples buffered, O(len) copy)
+//! ingest(p, chunk) ──► sample log   (raw samples appended, O(len) copy;
+//!                                    slot p records the range)
 //! ingest_row(p, r) ──► queue p      (pre-extracted rows buffered eagerly)
 //!                          │ flush()
 //!   ┌──────────────────────┴──────────────────────────────────────┐
 //!   │ stage 1 · sharded extraction                                │
-//!   │   sessions with buffered samples are claimed per-slot by    │
-//!   │   pool workers (par_map_mut); each extracts its windows     │
-//!   │   into its own slot's staging buffer — no locks, no shared  │
-//!   │   state on the hot path — then the staged windows join the  │
-//!   │   pending queues replayed in ingest order (overload policy) │
+//!   │   sessions with logged chunks are claimed per-slot by pool  │
+//!   │   workers (par_map_mut); each reads its ranges of the log,  │
+//!   │   copies completed windows into the executor's staging      │
+//!   │   buffer, extracts them through the executor's scratch and  │
+//!   │   stages the rows on its own slot — no locks, no shared     │
+//!   │   mutable state — then the log empties and the staged rows  │
+//!   │   join the pending queues replayed in ingest order          │
+//!   │   (overload policy)                                         │
 //!   │ stage 2 · parallel panel fan-out                            │
 //!   │   ready rows across all queues → panels of 256 row refs →   │
 //!   │   decision_rows_into fanned across the pool via par_map     │
@@ -100,9 +104,19 @@
 //!
 //! ## Ingest modes
 //!
-//! * [`FleetScheduler::ingest`] — raw ECG chunks; samples are buffered
-//!   per session and extracted shard-parallel inside the next flush (the
-//!   monitor-parity mode the equivalence tests drive).
+//! * [`FleetScheduler::ingest`] — raw ECG chunks; samples are appended
+//!   to the fleet's sample log and extracted shard-parallel inside the
+//!   next flush (the monitor-parity mode the equivalence tests drive).
+//!
+//! ## Memory
+//!
+//! Per patient the fleet keeps the session's ring (`window_len +
+//! stride` samples, allocated on the first sample) and row-sized
+//! bookkeeping. Window-length work buffers — the staged window copies
+//! and the extraction scratch — belong to the executor threads and are
+//! reused across every patient they serve, and raw samples waiting for
+//! the next flush sit in one fleet-wide log whose capacity is bounded
+//! by the largest flush's ingest.
 //! * [`FleetScheduler::ingest_row`] — pre-extracted 53-feature rows; the
 //!   on-device-extraction topology where wearables run DSP locally and
 //!   the fleet spends its cycles purely on classification, which is
@@ -120,6 +134,7 @@ use crate::stream::{
     StreamingSession, WindowDecision,
 };
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -413,15 +428,18 @@ struct QueuedWindow {
     arrival_ns: u64,
 }
 
-/// One admitted patient: the session, its raw-sample inbox (deferred
-/// extract-stage input), the per-flush staging buffer the shard workers
-/// fill, and its queue of extracted, not-yet-decided windows.
+/// One admitted patient: the session, the ranges of its chunks in the
+/// fleet's sample log (deferred extract-stage input), the per-flush
+/// staging buffer the shard workers fill, and its queue of extracted,
+/// not-yet-decided windows.
 struct Slot {
     session: StreamingSession,
-    /// Raw samples buffered since the last flush; drained by the
-    /// sharded extract stage (or settled inline on remove/restart).
-    inbox: Vec<f64>,
-    /// Raw samples ever fed to this session (inbox included) — drives
+    /// This patient's chunks buffered since the last flush, as ranges of
+    /// [`FleetScheduler::log`] in ingest order (back-to-back chunks merge
+    /// into one range); settled by the sharded extract stage (or inline
+    /// on remove/restart).
+    chunks: Vec<Range<usize>>,
+    /// Raw samples ever fed to this session (log included) — drives
     /// geometry-based window accounting at ingest time and the
     /// sample-fed/row-fed mode guard.
     fed_samples: u64,
@@ -448,7 +466,7 @@ impl Slot {
     fn new(session: StreamingSession) -> Self {
         Slot {
             session,
-            inbox: Vec::new(),
+            chunks: Vec::new(),
             fed_samples: 0,
             staged: Vec::new(),
             staged_next: 0,
@@ -459,17 +477,21 @@ impl Slot {
     }
 
     /// Runs the deferred extract stage for this slot: every buffered
-    /// raw sample flows through the session's ring/scheduler/extractor
-    /// and the completed windows land in `staged`. Self-contained per
-    /// slot (no fleet state touched), which is what makes the stage
-    /// safely shardable across pool workers.
-    fn settle_inbox(&mut self) {
-        if self.inbox.is_empty() {
+    /// chunk flows from the sample log through the session's
+    /// ring/scheduler/extractor as one sequence (so lane groups span
+    /// chunk boundaries exactly as in one concatenated chunk), and the
+    /// completed windows land in `staged`. Touches only this slot and
+    /// reads the shared log, which is what makes the stage safely
+    /// shardable across pool workers.
+    fn settle_chunks(&mut self, log: &[f64]) {
+        if self.chunks.is_empty() {
             return;
         }
-        self.session
-            .extract_windows_into(&self.inbox, &mut self.staged);
-        self.inbox.clear();
+        self.session.extract_chunks_into(
+            self.chunks.iter().map(|r| &log[r.clone()]),
+            &mut self.staged,
+        );
+        self.chunks.clear();
     }
 
     /// Moves the next staged window out (replay order).
@@ -574,6 +596,15 @@ pub struct FleetScheduler {
     /// this one-entry cache turns most ingest lookups into a single
     /// compare. Invalidated whenever `ids` shifts (admit/remove).
     last_idx: usize,
+    /// Raw samples of every deferred [`FleetScheduler::ingest`] since
+    /// the last flush, appended in arrival order; each slot records the
+    /// ranges of its own chunks. Emptied by the flush's extract stage,
+    /// keeping its capacity, so the raw samples the fleet retains are
+    /// bounded by the largest flush's ingest rather than by each
+    /// patient's largest sync, and steady traffic appends without
+    /// reallocating. Only the parallel executor set defers; the serial
+    /// set extracts inside `ingest` and never logs.
+    log: Vec<f64>,
     /// Raw-sample ingest calls (in fleet-wide order) whose windows are
     /// still awaiting the deferred extract stage — the replay script
     /// that reconstructs eager-extraction enqueue order at flush time.
@@ -663,6 +694,7 @@ impl FleetScheduler {
             ids: Vec::new(),
             slots: Vec::new(),
             last_idx: usize::MAX,
+            log: Vec::new(),
             pending_chunks: Vec::new(),
             arrival: VecDeque::new(),
             stats: FleetStats::default(),
@@ -784,7 +816,7 @@ impl FleetScheduler {
         let mut slot = self.slots.remove(idx);
         self.last_idx = usize::MAX; // indices shifted
         self.fair_cursor = 0; // indices shifted
-        slot.settle_inbox();
+        slot.settle_chunks(&self.log);
         let discarded_rows = slot.queue.iter().filter(|e| e.window.row.is_some()).count();
         let discarded = slot.queue.len() + slot.staged.len();
         self.pending_chunks.retain(|r| r.patient != patient);
@@ -820,7 +852,7 @@ impl FleetScheduler {
         // incremental-panel index so no entry dangles.
         self.classify_hot();
         let slot = &mut self.slots[idx];
-        slot.settle_inbox();
+        slot.settle_chunks(&self.log);
         let discarded_rows = slot.queue.iter().filter(|e| e.window.row.is_some()).count();
         let discarded = slot.queue.len() + slot.staged.len();
         slot.queue.clear();
@@ -845,8 +877,9 @@ impl FleetScheduler {
 
     /// Ingests one raw-sample chunk for `patient` and returns how many
     /// windows it completed (by geometry). On a parallel executor set
-    /// the samples are buffered on the patient's slot (an O(len) copy)
-    /// and the sharded extract stage runs them all at the next
+    /// the samples are appended to the fleet's sample log (an O(len)
+    /// copy; the patient's slot records the range) and the sharded
+    /// extract stage runs them all at the next
     /// [`FleetScheduler::flush`]; on a serial set the slot's extract
     /// stage runs right here, while the chunk is cache-warm (there is
     /// nothing to shard). Either way the extracted windows replay into
@@ -885,8 +918,16 @@ impl FleetScheduler {
             // overload policy sees exactly the schedule the deferred
             // path would give it — identical results, warmer cache.
             slot.session.extract_windows_into(chunk, &mut slot.staged);
-        } else {
-            slot.inbox.extend_from_slice(chunk);
+        } else if !chunk.is_empty() {
+            let start = self.log.len();
+            self.log.extend_from_slice(chunk);
+            let end = self.log.len();
+            match slot.chunks.last_mut() {
+                // Back-to-back chunks of one patient (a burst) extend
+                // its last range instead of adding one.
+                Some(last) if last.end == start => last.end = end,
+                _ => slot.chunks.push(start..end),
+            }
         }
         if completed > 0 {
             self.pending_chunks.push(ChunkRecord {
@@ -1222,24 +1263,29 @@ impl FleetScheduler {
         Ok(())
     }
 
-    /// Flush stage 1a: every slot with buffered raw samples runs its
-    /// extract stage, shard-parallel across the executors. Each slot is
-    /// claimed whole by one executor and extracts into its own staging
-    /// buffer — per-session state only, no locks. Dynamic claiming
-    /// load-balances uneven inboxes; the claim order cannot matter
-    /// because extraction output is a pure function of per-session
-    /// state.
+    /// Flush stage 1a: every slot with logged chunks runs its extract
+    /// stage, shard-parallel across the executors, then the sample log
+    /// empties (keeping its capacity for the next flush). Each slot is
+    /// claimed whole by one executor, reads its own ranges of the
+    /// shared log and extracts into its own staging buffer through the
+    /// executor's thread scratch — no locks, no shared mutable state.
+    /// Dynamic claiming load-balances uneven backlogs; the claim order
+    /// cannot matter because extraction output is a pure function of
+    /// per-session state and the session's own samples.
     fn extract_stage(&mut self) {
+        let log = self.log.as_slice();
         let mut dirty: Vec<&mut Slot> = self
             .slots
             .iter_mut()
-            .filter(|s| !s.inbox.is_empty())
+            .filter(|s| !s.chunks.is_empty())
             .collect();
-        if dirty.is_empty() {
-            return;
+        if !dirty.is_empty() {
+            self.exec
+                .par_map_mut(&mut dirty, |slot| slot.settle_chunks(log));
         }
-        self.exec
-            .par_map_mut(&mut dirty, |slot| slot.settle_inbox());
+        // Every range is settled (removed and restarted patients settled
+        // theirs on the way out), so the whole log is spent.
+        self.log.clear();
     }
 
     /// Flush stage 1b: replays the staged windows into the pending
@@ -1732,7 +1778,7 @@ mod tests {
         assert_eq!(flush.decisions[0].decision.decision, None);
         assert_eq!(fleet.patient_stats(1).unwrap().samples_in, 3940);
         assert_eq!(fleet.stats().pending_windows, 0);
-        // Removing a patient with a dirty inbox settles it first so the
+        // Removing a patient with logged chunks settles them first so the
         // departing stats are exact.
         fleet.ingest(1, &[0.0; 4000]).unwrap();
         let removed = fleet.remove(1).unwrap();
@@ -1767,6 +1813,65 @@ mod tests {
     }
 
     #[test]
+    fn flush_leaves_no_per_patient_sample_capacity_outside_the_ring() {
+        let stream = StreamConfig::non_overlapping(128.0, 30.0).unwrap();
+        let wl = stream.window_len;
+        let window_bytes = wl * std::mem::size_of::<f64>();
+        let ring_bytes = (wl + stream.stride) * std::mem::size_of::<f64>();
+        let patients = 4u64;
+        // Every patient bulk-syncs one 6-window chunk, then one flush.
+        let chunk = vec![0.0; 6 * wl];
+        let ingested = patients as usize * chunk.len();
+        for workers in [Some(1), Some(2)] {
+            let mut fleet = FleetScheduler::new(
+                engine(),
+                FleetConfig {
+                    workers,
+                    ..FleetConfig::unbounded(stream)
+                },
+            )
+            .unwrap();
+            for p in 0..patients {
+                fleet.admit(p).unwrap();
+            }
+            for p in 0..patients {
+                assert_eq!(fleet.ingest(p, &chunk).unwrap(), 6);
+            }
+            assert_eq!(fleet.flush().decisions.len(), 6 * patients as usize);
+            for slot in &fleet.slots {
+                // Outside its ring a slot keeps only row-sized
+                // bookkeeping: no raw-sample inbox, no window copies,
+                // no extraction scratch.
+                let outside_ring = slot.session.heap_bytes() - ring_bytes
+                    + slot.chunks.capacity() * std::mem::size_of::<Range<usize>>()
+                    + slot.staged.capacity() * std::mem::size_of::<PendingWindow>();
+                assert!(
+                    outside_ring < window_bytes / 4,
+                    "workers {workers:?}: {outside_ring} bytes outside the ring"
+                );
+                assert!(slot.chunks.is_empty());
+            }
+            // The shared log holds at most one flush's ingest (up to
+            // `Vec`'s amortised doubling); the serial set never logs.
+            let log_cap = fleet.log.capacity();
+            match workers {
+                Some(1) => assert_eq!(log_cap, 0),
+                _ => assert!(
+                    log_cap >= ingested && log_cap <= 2 * ingested,
+                    "log capacity {log_cap} for a {ingested}-sample flush"
+                ),
+            }
+            // Steady traffic reuses the log without growing it.
+            for p in 0..patients {
+                fleet.ingest(p, &chunk).unwrap();
+            }
+            fleet.flush();
+            assert_eq!(fleet.log.capacity(), log_cap);
+            assert!(fleet.log.is_empty());
+        }
+    }
+
+    #[test]
     fn ingest_modes_cannot_mix_per_patient() {
         let mut fleet = FleetScheduler::new(engine(), cfg()).unwrap();
         fleet.admit(1).unwrap();
@@ -1789,7 +1894,7 @@ mod tests {
         fleet.ingest_row(2, Some(&row(3.0))).unwrap();
         let flush = fleet.flush();
         assert_eq!(flush.rows_classified, 2);
-        // The sample-fed guard persists across the flush (the inbox
+        // The sample-fed guard persists across the flush (the chunks
         // settled, but the session keeps its sample history).
         assert!(fleet.ingest_row(1, Some(&row(4.0))).is_err());
         // …until a restart wipes the mode.

@@ -7,8 +7,9 @@
 //! window completes. [`StreamingSession`] bridges the two worlds:
 //!
 //! ```text
-//! push_samples(chunk) ─► SampleRing ─► WindowScheduler ─► extract_into
-//!                        (biodsp)      (window/stride)    (scratch-reusing)
+//! push_samples(chunk) ─► SampleRing ─► WindowScheduler ─► extract_batch
+//!                        (biodsp,      (window/stride)    (per-thread staging
+//!                        per session)                      + scratch)
 //!                                                              │
 //!                       WindowDecision ◄── ClassifierEngine ◄──┘
 //! ```
@@ -20,9 +21,11 @@
 //!   on the same windows (window `i` covers samples
 //!   `[i·stride, i·stride + window_len)`), for every
 //!   [`ClassifierEngine`] backend;
-//! * **allocation-light hot loop** — the ring, the window copy, the QRS
-//!   scratch (all of the sample-rate-proportional work) and the feature
-//!   row are reused across windows; after warm-up the only per-window
+//! * **allocation-light hot loop** — the ring (per session), the window
+//!   copies and the QRS scratch (per executing thread, shared by every
+//!   session it serves) and the feature rows are reused across windows,
+//!   so all of the sample-rate-proportional state a session owns is its
+//!   ring; after warm-up the only per-window
 //!   heap traffic is a handful of row-sized (53-element) vectors (the
 //!   pending feature row plus buffers inside the engine's `decision`)
 //!   and the beat-rate buffers of RR/EDR processing, two orders of
@@ -50,7 +53,7 @@ use crate::error::CoreError;
 use crate::parallel::par_map_mut;
 use biodsp::stream::{SampleRing, WindowScheduler};
 use biodsp::ExtractPrecision;
-use ecg_features::extract::{ExtractScratch, WindowExtractor};
+use ecg_features::extract::{with_window_staging, WindowExtractor};
 use ecg_features::N_FEATURES;
 use std::sync::Arc;
 use std::time::Instant;
@@ -270,23 +273,24 @@ impl StreamStats {
     }
 }
 
-/// One patient stream: ring + scheduler + scratch-reusing extraction +
-/// a shared [`ClassifierEngine`].
+/// One patient stream: ring + scheduler + extraction + a shared
+/// [`ClassifierEngine`].
+///
+/// The ring (`window_len + stride` samples, allocated on the first
+/// sample) is the only buffer a session sizes by the window. Completed
+/// windows are copied into the executing thread's staging buffer
+/// ([`ecg_features::extract::with_window_staging`]) and extracted
+/// through that thread's scratch
+/// ([`WindowExtractor::extract_batch`]), so a fleet worker or a solo
+/// caller reuses one set of window-length buffers for every patient it
+/// serves; everything else a session keeps is row-sized bookkeeping
+/// (see [`StreamingSession::heap_bytes`]).
 pub struct StreamingSession {
     cfg: StreamConfig,
     engine: SharedEngine,
     ring: SampleRing,
     sched: WindowScheduler,
     extractor: WindowExtractor,
-    scratch: ExtractScratch,
-    /// Pooled copies of completed windows awaiting lane-batched
-    /// extraction: up to [`LANE_GROUP`] windows side by side
-    /// (`window_len` samples each), drained whenever the group fills or
-    /// the chunk ends.
-    batch_buf: Vec<f64>,
-    /// `(window index, start sample)` of each pooled window.
-    batch_spans: Vec<(u64, u64)>,
-    row_buf: Vec<f64>,
     stats: StreamStats,
     /// Optional alarm stage folding decisions into alarms online.
     alarm: Option<AlarmStateMachine>,
@@ -305,10 +309,11 @@ pub struct StreamingSession {
 /// patient between flushes).
 const ROW_POOL_CAP: usize = 64;
 
-/// Completed windows pooled between lane-batched extraction drains —
+/// Completed windows staged between lane-batched extraction drains —
 /// the widest SoA lane group ([`WindowExtractor::extract_batch_into`]
 /// packs 8/4/2 lanes greedily), and therefore also the cap on a
-/// session's pooled window copies (`LANE_GROUP × window_len` samples).
+/// thread's staged window copies (`LANE_GROUP × window_len` samples,
+/// held per executor thread, not per session).
 const LANE_GROUP: usize = 8;
 
 // `dyn ClassifierEngine` has no Debug of its own; show its cost metadata.
@@ -356,10 +361,6 @@ impl StreamingSession {
             engine,
             ring,
             sched,
-            scratch: ExtractScratch::default(),
-            batch_buf: Vec::new(),
-            batch_spans: Vec::new(),
-            row_buf: Vec::with_capacity(N_FEATURES),
             stats: StreamStats::default(),
             alarm: None,
             pending_alarms: Vec::new(),
@@ -428,6 +429,25 @@ impl StreamingSession {
         self.stats.clone()
     }
 
+    /// Heap bytes this session holds between calls: the ring (0 until
+    /// the first sample arrives) plus row-sized bookkeeping — recycled
+    /// rows, the solo loop's pending-window buffer and uncollected
+    /// alarms. Window copies and extraction scratch belong to the
+    /// executing thread instead
+    /// ([`ecg_features::extract::thread_scratch_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ring.heap_bytes()
+            + self.row_pool.capacity() * size_of::<Vec<f64>>()
+            + self
+                .row_pool
+                .iter()
+                .map(|r| r.capacity() * size_of::<f64>())
+                .sum::<usize>()
+            + self.pending_scratch.capacity() * size_of::<PendingWindow>()
+            + self.pending_alarms.capacity() * size_of::<AlarmEvent>()
+    }
+
     /// Ingests one chunk of any length and returns the decisions of every
     /// window that completed inside it (often none, several after a large
     /// chunk). Allocation-convenient twin of
@@ -476,6 +496,20 @@ impl StreamingSession {
     /// the opposite mixing order with an error; this direction can only
     /// arise from caller code, so it fails loudly.)
     pub fn extract_windows_into(&mut self, chunk: &[f64], pending: &mut Vec<PendingWindow>) {
+        self.extract_chunks_into([chunk], pending);
+    }
+
+    /// [`StreamingSession::extract_windows_into`] over consecutive
+    /// chunks as if they were one: windows completing anywhere in the
+    /// sequence share lane groups exactly as they would in the
+    /// concatenated chunk, without the concatenation — the fleet's
+    /// extract stage feeds a patient's chunks straight from its shared
+    /// sample log.
+    pub(crate) fn extract_chunks_into<'a>(
+        &mut self,
+        chunks: impl IntoIterator<Item = &'a [f64]>,
+        pending: &mut Vec<PendingWindow>,
+    ) {
         // lint: allow(hot-panic) — documented `# Panics` contract: mixing
         // ingest modes would silently fork window numbering, so it fails
         // loudly; the reverse order is rejected with a typed error.
@@ -484,107 +518,105 @@ impl StreamingSession {
             "session already ingested pre-extracted rows; cannot mix raw-sample ingestion \
              (window numbering would fork)"
         );
-        self.stats.samples_in += chunk.len() as u64;
-        debug_assert!(self.batch_spans.is_empty());
         let wl = self.cfg.window_len;
+        let stride = self.sched.stride();
         // Sub-feed at most `stride` samples between drains so the ring
         // bound of `WindowScheduler::min_ring_capacity` always holds.
         // Completed windows are copied out immediately (the ring may
-        // overwrite them on the next sub-feed) but *extracted* in
-        // lane groups of up to [`LANE_GROUP`]: the dense DSP phases run
-        // lock-step across the group (`WindowExtractor::extract_batch`),
-        // bit-identical per window to the one-at-a-time path.
-        for sub in chunk.chunks(self.sched.stride()) {
-            self.ring.push(sub);
-            for idx in self.sched.on_samples(sub.len()) {
-                let span = self.sched.span(idx);
-                let pooled = self.batch_spans.len();
-                self.batch_buf.resize((pooled + 1) * wl, 0.0);
-                self.ring
-                    .copy_into(span.start, &mut self.batch_buf[pooled * wl..][..wl])
-                    // lint: allow(hot-panic) — invariant: the ring is built
-                    // with `WindowScheduler::min_ring_capacity` and sub-feeds
-                    // are capped at `stride`, so completed spans are in range.
-                    .expect("ring sized for the scheduler's drain contract");
-                self.batch_spans.push((span.index, span.start));
-                if self.batch_spans.len() == LANE_GROUP {
-                    self.drain_window_batch(pending);
+        // overwrite them on the next sub-feed) into this thread's
+        // staging buffer, but *extracted* in lane groups of up to
+        // [`LANE_GROUP`]: the dense DSP phases run lock-step across the
+        // group (`WindowExtractor::extract_batch`), bit-identical per
+        // window to the one-at-a-time path.
+        with_window_staging(|staging| {
+            // `(window index, start sample)` of each staged window.
+            let mut spans = [(0u64, 0u64); LANE_GROUP];
+            let mut staged = 0usize;
+            for chunk in chunks {
+                self.stats.samples_in += chunk.len() as u64;
+                for sub in chunk.chunks(stride) {
+                    self.ring.push(sub);
+                    for idx in self.sched.on_samples(sub.len()) {
+                        let span = self.sched.span(idx);
+                        // Grow only: stale samples past the staged
+                        // windows are never read, so no clearing or
+                        // zero-fill after warm-up.
+                        if staging.len() < (staged + 1) * wl {
+                            staging.resize((staged + 1) * wl, 0.0);
+                        }
+                        self.ring
+                            .copy_into(span.start, &mut staging[staged * wl..][..wl])
+                            // lint: allow(hot-panic) — invariant: the ring is
+                            // built with `WindowScheduler::min_ring_capacity`
+                            // and sub-feeds are capped at `stride`, so
+                            // completed spans are in range.
+                            .expect("ring sized for the scheduler's drain contract");
+                        spans[staged] = (span.index, span.start);
+                        staged += 1;
+                        if staged == LANE_GROUP {
+                            self.extract_staged(&staging[..staged * wl], &spans, pending);
+                            staged = 0;
+                        }
+                    }
                 }
             }
-        }
-        self.drain_window_batch(pending);
+            self.extract_staged(&staging[..staged * wl], &spans[..staged], pending);
+        });
     }
 
-    /// Extracts the pooled window copies (one lane group at most) into
-    /// `pending` rows and empties the pool. Rows are handed out in
-    /// recycled allocations (see [`StreamingSession::recycle_row`]), so
-    /// the hot loop stays free of per-window heap churn after warm-up.
+    /// Extracts one lane group of staged window copies (`spans.len()`
+    /// windows of `window_len` samples, side by side in `windows`) into
+    /// `pending` rows through the executing thread's extraction scratch.
+    /// Rows are handed out in recycled allocations (see
+    /// [`StreamingSession::recycle_row`]), so the hot loop stays free of
+    /// per-window heap churn after warm-up.
     ///
     /// `extract_ns` accounting: the group runs as one lane-batched unit,
     /// so each window carries an even share of the group's wall clock
     /// (the first window absorbs the remainder) — per-window latency
     /// stays meaningful while the sum stays exact.
-    fn drain_window_batch(&mut self, pending: &mut Vec<PendingWindow>) {
-        let nw = self.batch_spans.len();
+    fn extract_staged(
+        &mut self,
+        windows: &[f64],
+        spans: &[(u64, u64)],
+        pending: &mut Vec<PendingWindow>,
+    ) {
+        let nw = spans.len();
         if nw == 0 {
             return;
         }
-        let wl = self.cfg.window_len;
         let base = pending.len();
         let t0 = Instant::now();
-        if nw == 1 {
-            let row = match self.extractor.extract_into(
-                &self.batch_buf[..wl],
-                &mut self.scratch,
-                &mut self.row_buf,
-            ) {
-                Ok(()) => {
-                    let mut row = self.row_pool.pop().unwrap_or_default();
-                    row.clear();
-                    row.extend_from_slice(&self.row_buf);
-                    Some(row)
-                }
-                Err(_) => None,
-            };
+        let mut refs: [&[f64]; LANE_GROUP] = [&[]; LANE_GROUP];
+        for (slot, w) in refs
+            .iter_mut()
+            .zip(windows.chunks_exact(self.cfg.window_len))
+        {
+            *slot = w;
+        }
+        let row_pool = &mut self.row_pool;
+        // A lone window takes the batch path's scalar branch: the same
+        // `extract_into` as a solo extraction, on the thread's scratch.
+        self.extractor.extract_batch(&refs[..nw], |j, r| {
+            let row = r.ok().map(|slice| {
+                let mut row = row_pool.pop().unwrap_or_default();
+                row.clear();
+                row.extend_from_slice(slice);
+                row
+            });
             pending.push(PendingWindow {
-                window_index: self.batch_spans[0].0,
-                start_sample: self.batch_spans[0].1,
+                window_index: spans[j].0,
+                start_sample: spans[j].1,
                 row,
                 extract_ns: 0,
             });
-        } else {
-            let mut refs: [&[f64]; LANE_GROUP] = [&[]; LANE_GROUP];
-            for (slot, w) in refs.iter_mut().zip(self.batch_buf.chunks_exact(wl)) {
-                *slot = w;
-            }
-            let spans = &self.batch_spans;
-            let row_pool = &mut self.row_pool;
-            self.extractor.extract_batch(&refs[..nw], |j, r| {
-                let row = match r {
-                    Ok(slice) => {
-                        let mut row = row_pool.pop().unwrap_or_default();
-                        row.clear();
-                        row.extend_from_slice(slice);
-                        Some(row)
-                    }
-                    Err(_) => None,
-                };
-                pending.push(PendingWindow {
-                    window_index: spans[j].0,
-                    start_sample: spans[j].1,
-                    row,
-                    extract_ns: 0,
-                });
-            });
-        }
+        });
         let total = t0.elapsed().as_nanos() as u64;
         let share = total / nw as u64;
         let rem = total % nw as u64;
         for (k, w) in pending[base..].iter_mut().enumerate() {
             w.extract_ns = share + if k == 0 { rem } else { 0 };
         }
-        self.batch_spans.clear();
-        self.batch_buf.clear();
     }
 
     /// **Decide stage**: folds one pending window's decision into the

@@ -195,6 +195,18 @@ pub struct FiltFiltScratch {
     ext: Vec<f64>,
 }
 
+impl FiltFiltScratch {
+    /// Heap bytes held by the work buffer (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.ext)
+    }
+}
+
+/// Heap bytes a `Vec` holds: its capacity, not its length.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 impl SosCascade {
     /// Creates a cascade from sections.
     pub fn new(sections: Vec<Biquad>) -> Self {

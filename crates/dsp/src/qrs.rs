@@ -12,7 +12,9 @@
 // positions produced by scans over the same slices they index, bounded by the
 // signal length validated in `validate_and_cache`.
 use crate::error::DspError;
-use crate::filter::{five_point_derivative_into, moving_average_into, FiltFiltScratch, SosCascade};
+use crate::filter::{
+    five_point_derivative_into, moving_average_into, vec_bytes, FiltFiltScratch, SosCascade,
+};
 use crate::kernels::{self, ExtractPrecision, SosSection};
 use crate::lanes;
 
@@ -164,6 +166,47 @@ pub struct LaneDetectScratch<T: kernels::Scalar, const L: usize> {
     rr_recent: Vec<f64>,
     /// Cached band-pass design, keyed by `(band_lo, band_hi, fs)`.
     bandpass: Option<(f64, f64, f64, SosCascade)>,
+}
+
+impl DetectScratch {
+    /// Heap bytes held by the work buffers (capacity, not length) — the
+    /// window-length state a caller keeps by keeping the scratch.
+    pub fn heap_bytes(&self) -> usize {
+        self.filtfilt.heap_bytes()
+            + vec_bytes(&self.filtered)
+            + vec_bytes(&self.deriv)
+            + vec_bytes(&self.squared)
+            + vec_bytes(&self.mwi)
+            + vec_bytes(&self.ring)
+            + vec_bytes(&self.ext64)
+            + vec_bytes(&self.ext32)
+            + vec_bytes(&self.ring32)
+            + vec_bytes(&self.mwi32)
+            + vec_bytes(&self.peak_cand)
+            + vec_bytes(&self.peak_cand_keyed)
+            + vec_bytes(&self.peak_cand_keyed32)
+            + vec_bytes(&self.local_peaks)
+            + vec_bytes(&self.peak_buckets)
+            + vec_bytes(&self.qrs)
+            + vec_bytes(&self.rr_recent)
+    }
+}
+
+impl<T: kernels::Scalar, const L: usize> LaneDetectScratch<T, L> {
+    /// Heap bytes held by the lane group's work buffers (capacity, not
+    /// length).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.ext)
+            + vec_bytes(&self.ring)
+            + vec_bytes(&self.mwi)
+            + self.lane_mwi.iter().map(vec_bytes).sum::<usize>()
+            + self.lane_filtered.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.peak_cand)
+            + vec_bytes(&self.local_peaks)
+            + vec_bytes(&self.peak_buckets)
+            + vec_bytes(&self.qrs)
+            + vec_bytes(&self.rr_recent)
+    }
 }
 
 impl<T: kernels::Scalar, const L: usize> Default for LaneDetectScratch<T, L> {

@@ -18,9 +18,16 @@ use crate::error::DspError;
 /// Pushing never fails; older samples are overwritten. Reads address the
 /// stream by absolute sample index and fail (rather than alias) when the
 /// requested span has already been overwritten.
+///
+/// The buffer is allocated on the first non-empty push, so a ring that
+/// never sees a sample (a session fed pre-extracted rows) holds no
+/// capacity-sized allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleRing {
+    /// Retained samples; empty until the first non-empty push, then
+    /// exactly `capacity` long.
     buf: Vec<f64>,
+    capacity: usize,
     /// Total samples ever pushed (absolute stream position).
     total: u64,
 }
@@ -39,14 +46,21 @@ impl SampleRing {
             });
         }
         Ok(SampleRing {
-            buf: vec![0.0; capacity],
+            buf: Vec::new(),
+            capacity,
             total: 0,
         })
     }
 
     /// Retained-sample capacity.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
+    }
+
+    /// Heap bytes the ring holds: 0 before the first non-empty push,
+    /// `capacity × 8` after it.
+    pub fn heap_bytes(&self) -> usize {
+        self.buf.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Total samples pushed since creation (absolute stream length).
@@ -56,14 +70,20 @@ impl SampleRing {
 
     /// Absolute index of the oldest sample still retained.
     pub fn oldest_retained(&self) -> u64 {
-        self.total.saturating_sub(self.buf.len() as u64)
+        self.total.saturating_sub(self.capacity as u64)
     }
 
     /// Appends a chunk of any length, overwriting the oldest samples.
     /// Chunks longer than the capacity retain only their tail (their
     /// earlier samples are past data the ring could never have held).
     pub fn push(&mut self, chunk: &[f64]) {
-        let cap = self.buf.len();
+        if chunk.is_empty() {
+            return;
+        }
+        let cap = self.capacity;
+        if self.buf.is_empty() {
+            self.buf = vec![0.0; cap];
+        }
         let skip = chunk.len().saturating_sub(cap);
         let mut pos = ((self.total + skip as u64) % cap as u64) as usize;
         let mut rest = &chunk[skip..];
@@ -97,7 +117,7 @@ impl SampleRing {
                 reason: "span has been overwritten (ring too small)",
             });
         }
-        let cap = self.buf.len();
+        let cap = self.capacity;
         let mut pos = (start % cap as u64) as usize;
         let mut written = 0usize;
         while written < out.len() {
@@ -235,6 +255,23 @@ mod tests {
             self.0 = x;
             x.wrapping_mul(0x2545_F491_4F6C_DD1D)
         }
+    }
+
+    #[test]
+    fn ring_allocates_on_first_push() {
+        let mut ring = SampleRing::new(4096).unwrap();
+        assert_eq!(ring.capacity(), 4096);
+        assert_eq!(ring.heap_bytes(), 0);
+        // Empty pushes and empty reads stay allocation-free.
+        ring.push(&[]);
+        ring.copy_into(0, &mut []).unwrap();
+        assert_eq!(ring.heap_bytes(), 0);
+        assert!(ring.copy_into(0, &mut [0.0; 1]).is_err());
+        ring.push(&[1.0]);
+        assert_eq!(ring.heap_bytes(), 4096 * 8);
+        let mut out = [0.0; 1];
+        ring.copy_into(0, &mut out).unwrap();
+        assert_eq!(out, [1.0]);
     }
 
     #[test]

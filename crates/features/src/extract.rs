@@ -7,7 +7,7 @@ use crate::hrv::{clean_rr, hrv_features, HRV_NAMES, N_HRV};
 use crate::lorenz::{lorenz_features, LORENZ_NAMES, N_LORENZ};
 use crate::psd_feats::{psd_features_reference, psd_features_with, psd_names, N_PSD};
 use biodsp::kernels::ExtractPrecision;
-use biodsp::qrs::{DetectScratch, LaneDetectScratch, PanTompkins, QrsDetection};
+use biodsp::qrs::{DetectScratch, LaneDetectScratch, PanTompkins, QrsDetection, RPeak};
 use std::cell::RefCell;
 
 /// Total feature count (8 HRV + 7 Lorentz + 9 AR + 29 PSD = 53).
@@ -96,13 +96,33 @@ thread_local! {
     /// patient.
     static BATCH_SCRATCH: RefCell<BatchExtractScratch> =
         RefCell::new(BatchExtractScratch::default());
+    /// Window copies staged for [`WindowExtractor::extract_batch`] (see
+    /// [`with_window_staging`]).
+    static WINDOW_STAGING: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Drops this thread's extraction scratch (the one-shot
-/// [`ExtractScratch`] and the lane-batch [`BatchExtractScratch`]) back
-/// to empty, releasing every buffer's capacity.
+/// Runs `f` on this thread's window-staging buffer: where a ring-fed
+/// caller (a streaming session) copies completed windows side by side
+/// before extracting them as one lane group through
+/// [`WindowExtractor::extract_batch`]. Like the extraction scratch, the
+/// buffer lives per *thread*, so an executor serving many patients keeps
+/// one set of window-length buffers instead of one per patient. Its
+/// contents are only meaningful inside `f`; [`trim_thread_scratch`]
+/// releases its capacity.
 ///
-/// The thread-local scratches grow to the *largest* window and lane
+/// # Panics
+///
+/// Panics when called again from inside `f` (the buffer is borrowed).
+pub fn with_window_staging<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    WINDOW_STAGING.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Drops this thread's extraction state (the one-shot
+/// [`ExtractScratch`], the lane-batch [`BatchExtractScratch`] and the
+/// [`with_window_staging`] buffer) back to empty, releasing every
+/// buffer's capacity.
+///
+/// The thread-local buffers grow to the *largest* window and lane
 /// group a thread ever processed and normally stay there — right for a
 /// hot loop, wrong for a long-lived fleet worker that served one
 /// outsized cohort hours ago. Workers call this between cohorts (or on
@@ -111,6 +131,16 @@ thread_local! {
 pub fn trim_thread_scratch() {
     ONE_SHOT_SCRATCH.with(|s| *s.borrow_mut() = ExtractScratch::default());
     BATCH_SCRATCH.with(|s| *s.borrow_mut() = BatchExtractScratch::default());
+    WINDOW_STAGING.with(|s| *s.borrow_mut() = Vec::new());
+}
+
+/// Heap bytes this thread's extraction state holds (the buffers
+/// [`trim_thread_scratch`] releases) — the per-executor share of a
+/// serving fleet's memory.
+pub fn thread_scratch_bytes() -> usize {
+    ONE_SHOT_SCRATCH.with(|s| s.borrow().heap_bytes())
+        + BATCH_SCRATCH.with(|s| s.borrow().heap_bytes())
+        + WINDOW_STAGING.with(|s| s.borrow().capacity() * std::mem::size_of::<f64>())
 }
 
 impl WindowExtractor {
@@ -393,6 +423,13 @@ pub struct ExtractScratch {
     detection: QrsDetection,
 }
 
+impl ExtractScratch {
+    /// Heap bytes held by the work buffers (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        self.detect.heap_bytes() + self.detection.peaks.capacity() * std::mem::size_of::<RPeak>()
+    }
+}
+
 /// Reusable work state for [`WindowExtractor::extract_batch_into`]:
 /// one [`LaneDetectScratch`] per lane width and precision (the unused
 /// instantiations stay empty `Vec`s — a few pointers each), the shared
@@ -411,6 +448,25 @@ pub struct BatchExtractScratch {
     l2_32: LaneDetectScratch<f32, 2>,
     l4_32: LaneDetectScratch<f32, 4>,
     l8_32: LaneDetectScratch<f32, 8>,
+}
+
+impl BatchExtractScratch {
+    /// Heap bytes held by the work buffers (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        self.scalar.heap_bytes()
+            + self
+                .detections
+                .iter()
+                .map(|d| d.peaks.capacity() * std::mem::size_of::<RPeak>())
+                .sum::<usize>()
+            + self.row.capacity() * std::mem::size_of::<f64>()
+            + self.l2_64.heap_bytes()
+            + self.l4_64.heap_bytes()
+            + self.l8_64.heap_bytes()
+            + self.l2_32.heap_bytes()
+            + self.l4_32.heap_bytes()
+            + self.l8_32.heap_bytes()
+    }
 }
 
 #[cfg(test)]
@@ -583,6 +639,36 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, refs.len());
+        trim_thread_scratch();
+    }
+
+    #[test]
+    fn trim_releases_every_window_length_buffer() {
+        let fs = 128.0;
+        let extractor = WindowExtractor::new(fs);
+        let windows: Vec<Vec<f64>> = [0.8, 0.5, 1.0, 0.7, 0.9, 0.6, 0.85, 0.75, 0.65]
+            .iter()
+            .map(|&rr| synth_ecg(fs, 60.0, rr, 0.25))
+            .collect();
+        let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
+        let window_bytes = windows[0].len() * std::mem::size_of::<f64>();
+        // Warm all three per-thread buffers: the one-shot scratch, the
+        // lane groups (8 + scalar tail) and the window staging.
+        extractor.extract(&windows[0]).unwrap();
+        extractor.extract_batch(&refs, |_, r| assert!(r.is_ok()));
+        with_window_staging(|buf| buf.resize(8 * windows[0].len(), 0.0));
+        assert!(thread_scratch_bytes() > 8 * window_bytes);
+        trim_thread_scratch();
+        assert_eq!(thread_scratch_bytes(), 0);
+        assert_eq!(with_window_staging(|buf| buf.capacity()), 0);
+        // The next extraction re-warms and stays bit-identical.
+        let again = extractor.extract(&windows[0]).unwrap();
+        let mut scratch = ExtractScratch::default();
+        let mut row = Vec::new();
+        extractor
+            .extract_into(&windows[0], &mut scratch, &mut row)
+            .unwrap();
+        assert_eq!(again, row);
         trim_thread_scratch();
     }
 

@@ -17,7 +17,11 @@
 //! parallel panel fan-out → ordered route-back) must be invisible in the
 //! results; only wall-clock may change. A worker panic during the panel
 //! stage must surface on the flushing caller, and the fleet's pool must
-//! survive for subsequent flushes.
+//! survive for subsequent flushes. A second cohort splices artefact
+//! windows (NaN bursts, flatline, clipping, 1e6 spikes) between clean
+//! ones and bulk-syncs several windows per chunk, pinning that a failed
+//! window leaves nothing behind in the executor-shared extraction
+//! buffers.
 
 use epilepsy_monitor::fleet::FleetMonitor;
 use epilepsy_monitor::prelude::*;
@@ -298,6 +302,89 @@ fn fleet_alarms_match_solo_for_both_engines_and_both_dropped_policies() {
             }
         }
     }
+}
+
+/// The cohort with artefact windows spliced between clean ones: each
+/// patient gets a NaN burst, a lead-off flatline, clipping and 1e6
+/// spikes, every kind at a different window per patient, so a bulk
+/// multi-window flush mixes failed and clean windows of different
+/// patients on every executor.
+fn artefact_streams(window_len: usize) -> Vec<Vec<f64>> {
+    streams()
+        .iter()
+        .enumerate()
+        .map(|(p, clean)| {
+            let mut ecg = clean.clone();
+            let windows = ecg.len() / window_len;
+            assert!(
+                windows >= 6,
+                "patient {p}: stream too short for the artefacts"
+            );
+            for kind in 0..4usize {
+                // Windows 1.. (0 is the flat prefix), patient-rotated.
+                let w = 1 + (kind * 2 + p) % (windows - 1);
+                let win = &mut ecg[w * window_len..(w + 1) * window_len];
+                let peak = win.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                match kind {
+                    // NaN burst: a quarter of a second mid-window.
+                    0 => win[window_len / 2..][..32].fill(f64::NAN),
+                    // Lead-off: the electrode reads one flat value.
+                    1 => win.fill(win[0]),
+                    // Clipping at a fifth of the window's peak.
+                    2 => win
+                        .iter_mut()
+                        .for_each(|v| *v = v.clamp(-0.2 * peak, 0.2 * peak)),
+                    // Isolated 1e6 spikes every ~4 s.
+                    _ => win.iter_mut().step_by(509).for_each(|v| *v = 1e6),
+                }
+            }
+            ecg
+        })
+        .collect()
+}
+
+#[test]
+fn fleet_artefact_bulk_syncs_are_bit_identical_to_solo_sessions() {
+    // Executors now share extraction scratch and window staging across
+    // patients: a window that fails mid-extraction (non-finite samples,
+    // no beats) must leave nothing behind for the next patient's window
+    // on the same executor. Bulk syncs of 2–6 windows plus a partial
+    // window take the lane-batched path with ragged remainders.
+    let spec = spec();
+    let cfg = StreamConfig::non_overlapping(spec.scale.fs(), spec.scale.window_s()).unwrap();
+    let cohort = artefact_streams(cfg.window_len);
+    let alarm_cfg = AlarmConfig::k_of_n(1, 2);
+    for (name, engine) in &engines() {
+        for workers in WORKER_COUNTS {
+            let mut pick_rng = XorShift(0xA47E_FAC7 ^ name.len() as u64);
+            let mut len_rng = XorShift(0x5EED_B0B5);
+            let mut flush_rng = XorShift(0xF1A7_11E5);
+            check_fleet(
+                &format!("{name}/artefacts/workers-{workers:?}"),
+                engine,
+                cfg,
+                Some(alarm_cfg),
+                workers,
+                &cohort,
+                move |n| pick_rng.next() as usize % n.max(1),
+                move || {
+                    let whole = 2 + (len_rng.next() as usize) % 5;
+                    whole * cfg.window_len + (len_rng.next() as usize) % cfg.window_len
+                },
+                move || flush_rng.next().is_multiple_of(2),
+            );
+        }
+    }
+    // The artefacts really cost windows beyond the flat prefix.
+    let e: SharedEngine = Arc::new(pipeline().clone());
+    let dropped: usize = solo_reference(&e, cfg, None, &cohort)
+        .iter()
+        .map(|(d, _)| d.iter().filter(|w| w.decision.is_none()).count())
+        .sum();
+    assert!(
+        dropped >= 2 * cohort.len(),
+        "artefact windows should drop: {dropped} dropped"
+    );
 }
 
 #[test]
